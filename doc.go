@@ -24,7 +24,9 @@
 //	                      equivalence classes, component-parallel engine)
 //	§5    INCREPAIR       internal/increpair (TUPLERESOLVE, the three
 //	                      orderings, streaming Session) with
-//	                      internal/cluster's cost-based indices
+//	                      internal/cluster's cost-based index (one exact
+//	                      BK-tree, so a restored session repairs as the
+//	                      live one does)
 //	§6    sampling        internal/sampling (stratified samples, z-test)
 //	                      wired by internal/core (the Fig. 3 loop)
 //	§7    evaluation      internal/gen + workload (the order-relation

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -57,23 +58,35 @@ func randomWords(rng *rand.Rand, n int) []string {
 }
 
 // TestBKTreeMatchesBruteForce checks that the pruned, bounded-metric
-// BK-tree search returns exactly the brute-force nearest set.
+// BK-tree search returns exactly the brute-force nearest set, for a tree
+// built over the whole domain and for one built over a prefix and grown
+// by Add: the answer depends on the indexed set, never on the order it
+// arrived in. Domains range from a handful of values to well over 64.
 func TestBKTreeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 60; trial++ {
-		words := randomWords(rng, 80)
-		tree := NewBKTree(words, strdist.DL)
+	for trial := 0; trial < 120; trial++ {
+		n := 80
+		if trial%2 == 1 {
+			n = 4 + rng.Intn(61) // small domains: 4..64 values
+		}
+		words := randomWords(rng, n)
+		cut := rng.Intn(len(words) + 1)
+		grown := New(words[:cut])
+		for _, w := range words[cut:] {
+			grown.Add(w)
+		}
+		trees := map[string]*BKTree{"full": New(words), "grown": grown}
 		for probe := 0; probe < 10; probe++ {
 			q := randomWords(rng, 1)[0]
-			k := 1 + rng.Intn(5)
-			got := tree.Nearest(q, k)
-			want := bruteNearest(words, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: Nearest(%q,%d) = %v, want %v", trial, q, k, got, want)
+			if probe%3 == 0 {
+				q = words[rng.Intn(len(words))] // an indexed value
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: Nearest(%q,%d) = %v, want %v", trial, q, k, got, want)
+			k := 1 + rng.Intn(5)
+			want := bruteNearest(words, q, k)
+			for name, tree := range trees {
+				if got := tree.Nearest(q, k); !slices.Equal(got, want) {
+					t.Fatalf("trial %d (%d values, %s from %d): Nearest(%q,%d) = %v, want %v",
+						trial, n, name, cut, q, k, got, want)
 				}
 			}
 		}
@@ -82,7 +95,7 @@ func TestBKTreeMatchesBruteForce(t *testing.T) {
 
 // TestBKTreeAddThenQuery: values added after construction are found.
 func TestBKTreeAddThenQuery(t *testing.T) {
-	tree := NewBKTree([]string{"alpha", "beta"}, strdist.DL)
+	tree := New([]string{"alpha", "beta"})
 	tree.Add("alphb")
 	got := tree.Nearest("alpha", 2)
 	if len(got) == 0 || got[0] != "alpha" || got[1] != "alphb" {

@@ -1,63 +1,22 @@
-// Package cluster provides similarity indices over attribute domains: the
-// "cost-based indices" of §5.2, which let TUPLERESOLVE range over the
-// active domain of an attribute in decreasing similarity to a given value
-// and stop at the first suitable candidate.
+// Package cluster provides the "cost-based index" of §5.2: an index over
+// the active domain of an attribute that lists values in increasing
+// distance to a probe, so TUPLERESOLVE can range over candidate fixes in
+// decreasing similarity and stop at the first suitable one.
 //
-// The paper arranges adom(Repr, A) in a tree built by hierarchical
-// agglomerative clustering (HAC) under the DL metric and descends toward
-// the child cluster closest to the probe. HAC is O(n²) in the domain
-// size, which is fine for the categorical attributes CFDs constrain but
-// prohibitive for key-like attributes with tens of thousands of distinct
-// values. This package therefore offers two implementations of one
-// Index contract:
-//
-//   - HAC — the paper's structure, for small domains;
-//   - BKTree — a Burkhard–Keller tree, the standard metric index for edit
-//     distances, with the same "values in increasing distance" contract
-//     and O(n log n) construction.
-//
-// New picks HAC below a size threshold and BKTree above it.
+// The paper builds this index by hierarchical agglomerative clustering
+// (HAC) under the DL metric and answers a probe by descending toward the
+// closest child cluster. That answer is approximate, and it depends on
+// the order the values arrived in: a tree built over a domain at once
+// and a tree grown value by value can disagree, so a session restored
+// from a snapshot would repair later tuples differently from the live
+// session it recovers. This package uses a Burkhard–Keller tree instead,
+// the standard metric index for edit distances. It keeps the paper's
+// contract — values by increasing DL distance — but answers exactly:
+// Nearest returns the k closest values within MaxRadius with ties broken
+// by value, a function of the set of indexed values alone.
 package cluster
 
-import (
-	"sort"
-
-	"cfdclean/internal/strdist"
-)
-
-// Index finds active-domain values similar to a probe string.
-type Index interface {
-	// Nearest returns up to k domain values ordered by increasing
-	// distance to v (ties broken lexicographically). v itself may be
-	// among the results if indexed.
-	Nearest(v string, k int) []string
-	// Add inserts a new value into the index (repairs grow the active
-	// domain as tuples are inserted, §5.1).
-	Add(v string)
-	// Len returns the number of indexed values.
-	Len() int
-}
-
-// HACSizeLimit is the domain size up to which New builds the paper's HAC
-// tree; larger domains get a BK-tree. HAC construction is quadratic in
-// the domain size (it materializes the pairwise distance matrix), which
-// dominates whole-run profiles once domains reach the hundreds, while
-// BK-tree construction is near-linearithmic with equivalent Nearest
-// results for the discrete DL metric.
-const HACSizeLimit = 64
-
-// New builds an index over vals with the given metric (nil = DL).
-func New(vals []string, m strdist.Metric) Index {
-	if m == nil {
-		m = strdist.DL
-	}
-	if len(vals) <= HACSizeLimit {
-		return NewHAC(vals, m)
-	}
-	return NewBKTree(vals, m)
-}
-
-// --- BK-tree ---
+import "cfdclean/internal/strdist"
 
 type bkNode struct {
 	val      string
@@ -68,20 +27,17 @@ type bkNode struct {
 	maxe int
 }
 
-// BKTree is a Burkhard–Keller metric tree over strings.
+// BKTree is a Burkhard–Keller metric tree over strings under the
+// Damerau–Levenshtein distance.
 type BKTree struct {
-	metric strdist.Metric
-	root   *bkNode
-	size   int
-	seen   map[string]bool
+	root *bkNode
+	size int
+	seen map[string]bool
 }
 
-// NewBKTree indexes vals under metric m (nil = DL).
-func NewBKTree(vals []string, m strdist.Metric) *BKTree {
-	if m == nil {
-		m = strdist.DL
-	}
-	t := &BKTree{metric: m, seen: make(map[string]bool, len(vals))}
+// New indexes vals; duplicates are ignored.
+func New(vals []string) *BKTree {
+	t := &BKTree{seen: make(map[string]bool, len(vals))}
 	for _, v := range vals {
 		t.Add(v)
 	}
@@ -91,7 +47,8 @@ func NewBKTree(vals []string, m strdist.Metric) *BKTree {
 // Len returns the number of distinct indexed values.
 func (t *BKTree) Len() int { return t.size }
 
-// Add inserts v (duplicates are ignored).
+// Add inserts v (duplicates are ignored). Repairs grow the active domain
+// as tuples are inserted (§5.1).
 func (t *BKTree) Add(v string) {
 	if t.seen[v] {
 		return
@@ -104,7 +61,7 @@ func (t *BKTree) Add(v string) {
 	}
 	cur := t.root
 	for {
-		d := t.metric.Distance(v, cur.val)
+		d := strdist.DamerauLevenshtein(v, cur.val)
 		if d > cur.maxe {
 			cur.maxe = d
 		}
@@ -128,14 +85,14 @@ func (t *BKTree) Add(v string) {
 const MaxRadius = 8
 
 // Nearest returns up to k values within MaxRadius of v by increasing
-// distance, using the triangle-inequality pruning of the BK-tree: a
-// subtree at edge distance e from a node at distance d can only contain
-// values within |d-e| of v.
+// distance, ties broken by value, using the triangle-inequality pruning
+// of the BK-tree: a subtree at edge distance e from a node at distance d
+// can only contain values within |d-e| of v. v itself is among the
+// results if indexed.
 func (t *BKTree) Nearest(v string, k int) []string {
 	if t.root == nil || k <= 0 {
 		return nil
 	}
-	bounded, hasBound := t.metric.(strdist.BoundedMetric)
 	type hit struct {
 		val string
 		d   int
@@ -166,12 +123,7 @@ func (t *BKTree) Nearest(v string, k int) []string {
 		// subtree (|e−D| ≥ D−maxe > worst) can contribute, so the
 		// truncated result still prunes soundly.
 		bound := worst + n.maxe
-		var d int
-		if hasBound {
-			d = bounded.DistanceBounded(v, n.val, bound)
-		} else {
-			d = t.metric.Distance(v, n.val)
-		}
+		d := strdist.DamerauLevenshteinBounded(v, n.val, bound)
 		if d <= worst {
 			insert(n.val, d)
 		}
@@ -192,152 +144,6 @@ func (t *BKTree) Nearest(v string, k int) []string {
 	out := make([]string, len(hits))
 	for i, h := range hits {
 		out[i] = h.val
-	}
-	return out
-}
-
-// --- Hierarchical agglomerative clustering ---
-
-type hacNode struct {
-	medoid string
-	leaves []string // only at leaf clusters
-	left   *hacNode
-	right  *hacNode
-}
-
-// HAC is the paper's clustering tree: values grouped by similarity under
-// the DL metric, queried by descending toward the closest child medoid.
-type HAC struct {
-	metric strdist.Metric
-	root   *hacNode
-	size   int
-	seen   map[string]bool
-}
-
-// NewHAC builds the tree by average-linkage agglomerative clustering.
-// O(n²) in len(vals); intended for small domains (see HACSizeLimit).
-func NewHAC(vals []string, m strdist.Metric) *HAC {
-	if m == nil {
-		m = strdist.DL
-	}
-	h := &HAC{metric: m, seen: make(map[string]bool, len(vals))}
-	var distinct []string
-	for _, v := range vals {
-		if !h.seen[v] {
-			h.seen[v] = true
-			distinct = append(distinct, v)
-		}
-	}
-	sort.Strings(distinct)
-	h.size = len(distinct)
-	if len(distinct) == 0 {
-		return h
-	}
-	// Active clusters, merged pairwise by smallest medoid distance.
-	clusters := make([]*hacNode, len(distinct))
-	for i, v := range distinct {
-		clusters[i] = &hacNode{medoid: v, leaves: []string{v}}
-	}
-	for len(clusters) > 1 {
-		bi, bj, bd := 0, 1, 1<<30
-		for i := 0; i < len(clusters); i++ {
-			for j := i + 1; j < len(clusters); j++ {
-				d := m.Distance(clusters[i].medoid, clusters[j].medoid)
-				if d < bd {
-					bi, bj, bd = i, j, d
-				}
-			}
-		}
-		merged := &hacNode{
-			left:  clusters[bi],
-			right: clusters[bj],
-			// Medoid of the merged cluster: keep the left medoid; exact
-			// medoid recomputation is O(n²) and changes little here.
-			medoid: clusters[bi].medoid,
-		}
-		clusters[bi] = merged
-		clusters = append(clusters[:bj], clusters[bj+1:]...)
-	}
-	h.root = clusters[0]
-	return h
-}
-
-// Len returns the number of distinct indexed values.
-func (h *HAC) Len() int { return h.size }
-
-// Add inserts v into the leaf cluster with the closest medoid.
-func (h *HAC) Add(v string) {
-	if h.seen[v] {
-		return
-	}
-	h.seen[v] = true
-	h.size++
-	if h.root == nil {
-		h.root = &hacNode{medoid: v, leaves: []string{v}}
-		return
-	}
-	cur := h.root
-	for cur.left != nil {
-		dl := h.metric.Distance(v, cur.left.medoid)
-		dr := h.metric.Distance(v, cur.right.medoid)
-		if dl <= dr {
-			cur = cur.left
-		} else {
-			cur = cur.right
-		}
-	}
-	cur.leaves = append(cur.leaves, v)
-}
-
-// Nearest descends the dendrogram toward the closest medoid, collecting
-// leaves in visit order, then orders the collected pool by true distance.
-func (h *HAC) Nearest(v string, k int) []string {
-	if h.root == nil || k <= 0 {
-		return nil
-	}
-	// Collect at least k candidate leaves by walking closest-first.
-	var pool []string
-	var walk func(n *hacNode)
-	walk = func(n *hacNode) {
-		if len(pool) >= 4*k {
-			return
-		}
-		if n.left == nil {
-			pool = append(pool, n.leaves...)
-			return
-		}
-		dl := h.metric.Distance(v, n.left.medoid)
-		dr := h.metric.Distance(v, n.right.medoid)
-		first, second := n.left, n.right
-		if dr < dl {
-			first, second = n.right, n.left
-		}
-		walk(first)
-		if len(pool) < k {
-			walk(second)
-		}
-	}
-	walk(h.root)
-	type hit struct {
-		val string
-		d   int
-	}
-	hits := make([]hit, len(pool))
-	for i, s := range pool {
-		hits[i] = hit{s, h.metric.Distance(v, s)}
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].d != hits[j].d {
-			return hits[i].d < hits[j].d
-		}
-		return hits[i].val < hits[j].val
-	})
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	out := make([]string, len(hits))
-	for i, ht := range hits {
-		out[i] = ht.val
 	}
 	return out
 }

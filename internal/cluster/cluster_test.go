@@ -16,23 +16,23 @@ var cities = []string{
 	"Boston", "Washington", "Seattle", "Atlanta", "Miami",
 }
 
-func testIndex(t *testing.T, name string, mk func(vals []string) Index) {
-	t.Run(name+"/ExactMatchFirst", func(t *testing.T) {
-		ix := mk(cities)
+func TestBKTree(t *testing.T) {
+	t.Run("BKTree/ExactMatchFirst", func(t *testing.T) {
+		ix := New(cities)
 		got := ix.Nearest("Boston", 3)
 		if len(got) == 0 || got[0] != "Boston" {
 			t.Errorf("Nearest(Boston) = %v, want Boston first", got)
 		}
 	})
-	t.Run(name+"/TypoFindsOriginal", func(t *testing.T) {
-		ix := mk(cities)
+	t.Run("BKTree/TypoFindsOriginal", func(t *testing.T) {
+		ix := New(cities)
 		got := ix.Nearest("Bostom", 1)
 		if len(got) != 1 || got[0] != "Boston" {
 			t.Errorf("Nearest(Bostom) = %v, want [Boston]", got)
 		}
 	})
-	t.Run(name+"/KBounds", func(t *testing.T) {
-		ix := mk(cities)
+	t.Run("BKTree/KBounds", func(t *testing.T) {
+		ix := New(cities)
 		if got := ix.Nearest("X", 0); got != nil {
 			t.Errorf("k=0 must return nil, got %v", got)
 		}
@@ -40,8 +40,8 @@ func testIndex(t *testing.T, name string, mk func(vals []string) Index) {
 			t.Errorf("k beyond size returned %d values", len(got))
 		}
 	})
-	t.Run(name+"/AddThenFind", func(t *testing.T) {
-		ix := mk(cities)
+	t.Run("BKTree/AddThenFind", func(t *testing.T) {
+		ix := New(cities)
 		before := ix.Len()
 		ix.Add("Pittsburgh")
 		ix.Add("Pittsburgh") // duplicate ignored
@@ -53,8 +53,8 @@ func testIndex(t *testing.T, name string, mk func(vals []string) Index) {
 			t.Errorf("Nearest(Pittsburg) = %v, want [Pittsburgh]", got)
 		}
 	})
-	t.Run(name+"/Empty", func(t *testing.T) {
-		ix := mk(nil)
+	t.Run("BKTree/Empty", func(t *testing.T) {
+		ix := New(nil)
 		if got := ix.Nearest("x", 3); got != nil {
 			t.Errorf("empty index returned %v", got)
 		}
@@ -63,29 +63,6 @@ func testIndex(t *testing.T, name string, mk func(vals []string) Index) {
 			t.Errorf("after add, Nearest = %v", got)
 		}
 	})
-}
-
-func TestBKTree(t *testing.T) {
-	testIndex(t, "BKTree", func(vals []string) Index { return NewBKTree(vals, nil) })
-}
-
-func TestHAC(t *testing.T) {
-	testIndex(t, "HAC", func(vals []string) Index { return NewHAC(vals, nil) })
-}
-
-func TestNewPicksImplementation(t *testing.T) {
-	small := New(cities, nil)
-	if _, ok := small.(*HAC); !ok {
-		t.Error("small domain should use HAC")
-	}
-	big := make([]string, HACSizeLimit+1)
-	for i := range big {
-		big[i] = fmt.Sprintf("value-%06d", i)
-	}
-	large := New(big, nil)
-	if _, ok := large.(*BKTree); !ok {
-		t.Error("large domain should use BKTree")
-	}
 }
 
 // TestBKTreeExactNearest cross-checks BK-tree results against brute force:
@@ -100,7 +77,7 @@ func TestBKTreeExactNearest(t *testing.T) {
 		}
 		vals[i] = string(b)
 	}
-	ix := NewBKTree(vals, nil)
+	ix := New(vals)
 	for trial := 0; trial < 50; trial++ {
 		b := make([]byte, 3+rng.Intn(5))
 		for j := range b {
@@ -126,7 +103,7 @@ func TestBKTreeExactNearest(t *testing.T) {
 // TestBKTreeNearestSorted: results must be in non-decreasing distance.
 func TestBKTreeNearestSorted(t *testing.T) {
 	f := func(vals []string, probe string) bool {
-		ix := NewBKTree(vals, nil)
+		ix := New(vals)
 		got := ix.Nearest(probe, 5)
 		ds := make([]int, len(got))
 		for i, v := range got {
@@ -139,17 +116,8 @@ func TestBKTreeNearestSorted(t *testing.T) {
 	}
 }
 
-// TestHACContainsAllLeaves: every indexed value is reachable.
-func TestHACContainsAllLeaves(t *testing.T) {
-	ix := NewHAC(cities, nil)
-	got := ix.Nearest("NYC", len(cities))
-	if len(got) != len(cities) {
-		t.Errorf("HAC query for all values returned %d of %d", len(got), len(cities))
-	}
-}
-
 func TestBKTreeDedup(t *testing.T) {
-	ix := NewBKTree([]string{"a", "a", "b", "a"}, nil)
+	ix := New([]string{"a", "a", "b", "a"})
 	if ix.Len() != 2 {
 		t.Errorf("Len = %d, want 2", ix.Len())
 	}
@@ -161,7 +129,7 @@ func BenchmarkBKTreeNearest(b *testing.B) {
 	for i := range vals {
 		vals[i] = fmt.Sprintf("cust-%05d-%c%c", rng.Intn(100000), 'a'+rng.Intn(26), 'a'+rng.Intn(26))
 	}
-	ix := NewBKTree(vals, nil)
+	ix := New(vals)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/relation"
@@ -137,6 +138,36 @@ func TestPatternRowsScale(t *testing.T) {
 	}
 	if big.PatternRows <= 2*small.PatternRows {
 		t.Fatalf("big tableau %d not much larger than small %d", big.PatternRows, small.PatternRows)
+	}
+}
+
+// TestPatternRowsBeyondPools: a tableau that asks for more area codes
+// than the geography's pool holds clamps to the pool instead of drawing
+// unique codes forever.
+func TestPatternRowsBeyondPools(t *testing.T) {
+	type result struct {
+		ds  *Dataset
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		ds, err := New(Config{Size: 200, PatternRows: 5000, Seed: 1})
+		done <- result{ds, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		ds := r.ds
+		if !cfd.Satisfies(ds.Opt, ds.Sigma) {
+			t.Fatal("Dopt violates Σ")
+		}
+		if got := len(ds.g.acCity); got != acPool {
+			t.Fatalf("%d area codes, want the whole pool of %d", got, acPool)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("gen.New with PatternRows 5000 did not return")
 	}
 }
 

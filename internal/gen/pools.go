@@ -119,16 +119,19 @@ type dims struct {
 	nStreets   int // streets carried per city
 }
 
+// zipPool and acPool are the numbers of distinct zip codes and area
+// codes buildGeo can draw (zips 10000–99998; area codes a leading digit
+// 2–9 and two more digits). deriveDims never asks for more, or the
+// unique draws would never finish.
+const (
+	zipPool = 89999
+	acPool  = 8 * 100
+)
+
 func deriveDims(patternRows int) dims {
 	var d dims
-	d.nZips = patternRows / 2
-	if d.nZips < 8 {
-		d.nZips = 8
-	}
-	d.nACs = patternRows / 5
-	if d.nACs < 4 {
-		d.nACs = 4
-	}
+	d.nZips = min(max(patternRows/2, 8), zipPool)
+	d.nACs = min(max(patternRows/5, 4), acPool)
 	d.nCities = patternRows / 10
 	if d.nCities < 4 {
 		d.nCities = 4
@@ -177,7 +180,7 @@ func buildGeo(rng *rand.Rand, d dims) *geo {
 	for i := 0; i < d.nZips; i++ {
 		var z string
 		for {
-			z = fmt.Sprintf("%05d", 10000+rng.Intn(89999))
+			z = fmt.Sprintf("%05d", 10000+rng.Intn(zipPool))
 			if !zipSeen[z] {
 				break
 			}

@@ -145,7 +145,7 @@ type engine struct {
 
 	// clusterIdx[a] is the cost-based index over adom(Repr, a); built
 	// lazily for the attributes Σ constrains.
-	clusterIdx map[int]cluster.Index
+	clusterIdx map[int]*cluster.BKTree
 	// nearCache memoizes clusterIdx[a].Nearest(v, NearestK): TUPLERESOLVE
 	// evaluates every size-k attribute subset, so the same (a, v) query
 	// recurs once per subset containing a. Entries are invalidated per
@@ -176,7 +176,7 @@ func newEngine(repr *relation.Relation, sigma []*cfd.Normal, o Options) (*engine
 		model:      o.CostModel,
 		opts:       o,
 		arity:      repr.Schema().Arity(),
-		clusterIdx: make(map[int]cluster.Index),
+		clusterIdx: make(map[int]*cluster.BKTree),
 		nearCache:  make(map[int]map[string][]string),
 	}
 	for _, g := range e.det.Groups() {

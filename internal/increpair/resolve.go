@@ -456,11 +456,11 @@ func (e *engine) nearest(a int, v string) []string {
 }
 
 // clusterIndex lazily builds the cost-based index over adom(Repr, a).
-func (e *engine) clusterIndex(a int) cluster.Index {
+func (e *engine) clusterIndex(a int) *cluster.BKTree {
 	if ix, ok := e.clusterIdx[a]; ok {
 		return ix
 	}
-	ix := cluster.New(e.repr.ActiveDomain(a), nil)
+	ix := cluster.New(e.repr.ActiveDomain(a))
 	e.clusterIdx[a] = ix
 	return ix
 }

@@ -352,6 +352,23 @@ func (s *Server) handlePromote(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
+// shipTotals sums the replication counters of the shipping streams of
+// hs (the primary side): the one summation behind both /v1/metrics and
+// the Prometheus /metrics families.
+func shipTotals(hs []*hosted) ship.ShipStats {
+	var t ship.ShipStats
+	for _, h := range hs {
+		if ref := h.shipper.Load(); ref != nil {
+			st := ref.sp.Stats()
+			t.Batches += st.Batches
+			t.Snapshots += st.Snapshots
+			t.Degraded += st.Degraded
+			t.Dropped += st.Dropped
+		}
+	}
+	return t
+}
+
 // handleCluster reports the node's cluster view: GET /v1/cluster.
 func (s *Server) handleCluster(w http.ResponseWriter, req *http.Request) {
 	info := ClusterInfo{}

@@ -143,6 +143,40 @@ func applyDirty(t *testing.T, base, name string, i int) ApplyResponse {
 	return ar
 }
 
+// checkReplicationCounters asserts that a node's Prometheus replication
+// counters equal the ones its /v1/metrics reports, and that the node
+// took part in shipping at least min batches, as primary or follower.
+func checkReplicationCounters(t *testing.T, n *clusterNode, min uint64) {
+	t.Helper()
+	resp, body := getBody(t, n.url+"/v1/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/metrics: %d", resp.StatusCode)
+	}
+	var mr MetricsResponse
+	if err := json.Unmarshal(body, &mr); err != nil {
+		t.Fatal(err)
+	}
+	resp, body = getBody(t, n.url+"/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", resp.StatusCode)
+	}
+	doc := parseProm(t, string(body))
+	for name, want := range map[string]uint64{
+		"cfdserved_ship_batches_total":    mr.Ops.ShipBatches,
+		"cfdserved_ship_snapshots_total":  mr.Ops.ShipSnapshots,
+		"cfdserved_ship_degraded_total":   mr.Ops.ShipDegraded,
+		"cfdserved_ship_dropped_total":    mr.Ops.ShipDropped,
+		"cfdserved_replica_applied_total": mr.Ops.ReplicaApplied,
+	} {
+		if got := doc.get(t, name).value; got != float64(want) {
+			t.Errorf("%s on %s = %g, /v1/metrics reports %d", name, n.addr, got, want)
+		}
+	}
+	if shipped := mr.Ops.ShipBatches + mr.Ops.ReplicaApplied; shipped < min {
+		t.Errorf("%s shipped or applied %d batches, want >= %d", n.addr, shipped, min)
+	}
+}
+
 // TestClusterFailover is the end-to-end tentpole check: create through
 // the router, replicate under ack=quorum, fence writes on the follower,
 // kill the primary, promote, and require the promoted node to serve the
@@ -171,6 +205,11 @@ func TestClusterFailover(t *testing.T) {
 	if wantVios.Total != gotVios.Total || wantVios.Version != gotVios.Version {
 		t.Fatalf("replica violations differ: %+v vs %+v", wantVios, gotVios)
 	}
+
+	// The Prometheus replication counters agree with /v1/metrics on
+	// both sides of the stream.
+	checkReplicationCounters(t, owner, 1)
+	checkReplicationCounters(t, follower, 1)
 
 	// Writes to the follower are fenced with 421 and the primary's
 	// address — the client redirect contract.

@@ -836,13 +836,13 @@ func (s *Server) Recover() (restored int, err error) {
 		// true primary's shipping stream resumes (healing any missed
 		// batches by gap-detected resync) instead of hitting a phantom
 		// primary and stopping. On a node rebooted WITHOUT peers the
-		// marker is ignored — and cleared by adopt — because a follower
+		// marker is ignored — and cleared by register — because a follower
 		// with no cluster would refuse writes forever.
 		role := rolePrimary
 		if s.reg.cluster != nil && readRoleMarker(filepath.Join(cfg.dir, name)) {
 			role = roleFollower
 		}
-		if _, cerr := s.reg.adopt(name, sess, sess.Current().Schema(), p, quota, role); cerr != nil {
+		if _, cerr := s.reg.register(name, sess, sess.Current().Schema(), hostSpec{pers: p, quota: quota, role: role}); cerr != nil {
 			p.close()
 			sess.Close()
 			errs = append(errs, fmt.Errorf("server: recover %s: %w", name, cerr))

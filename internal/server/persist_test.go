@@ -585,7 +585,7 @@ func TestFinishPersistSupersededKeepsData(t *testing.T) {
 	hOld := &hosted{name: "x", sess: s2, pers: pOld}
 	hOld.purge.Store(true)
 	s3 := newSess()
-	hNew, err := reg.Create("x", s3, s3.Current().Schema())
+	hNew, err := reg.register("x", s3, s3.Current().Schema(), hostSpec{quota: reg.quota})
 	if err != nil {
 		t.Fatal(err)
 	}

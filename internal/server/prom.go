@@ -137,6 +137,16 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, req *http.Request) {
 	p.counter("cfdserved_tuples_total", "Tuples inserted.", s.reg.tuples.Load())
 	p.counter("cfdserved_sse_dropped_total", "Events dropped at slow SSE subscribers.", s.reg.sseDrops.Load())
 
+	// Replication counters: this node's shipping streams (primary side)
+	// and the batches it applied as a follower, summed as /v1/metrics
+	// sums them.
+	ship := shipTotals(hs)
+	p.counter("cfdserved_ship_batches_total", "Shipped batches acknowledged by followers.", ship.Batches)
+	p.counter("cfdserved_ship_snapshots_total", "Snapshot installs shipped to followers (bootstrap and resync).", ship.Snapshots)
+	p.counter("cfdserved_ship_degraded_total", "Shipping delivery failures absorbed.", ship.Degraded)
+	p.counter("cfdserved_ship_dropped_total", "Shipping frames dropped on a full backlog or during backoff.", ship.Dropped)
+	p.counter("cfdserved_replica_applied_total", "Shipped batches this node applied as a follower.", s.reg.replicaApplied.Load())
+
 	// Service-wide histograms.
 	p.header("cfdserved_pass_duration_seconds", "Engine pass duration.", "histogram")
 	p.histogramSeries("cfdserved_pass_duration_seconds", nil, s.reg.passLat)

@@ -318,40 +318,33 @@ type commitItem struct {
 	resync *wal.Snapshot
 }
 
-// Create opens a session under name and starts its worker, with the
-// registry's default quota. The caller supplies a ready
-// increpair.Session (built from the decoded create request) and the
-// schema used for wire encoding and attribute lookup.
-func (r *Registry) Create(name string, sess *increpair.Session, schema *relation.Schema) (*hosted, error) {
-	return r.register(name, sess, schema, nil, r.quota, rolePrimary, store.KindDefault)
+// hostSpec is how register hosts a session: the parameters on which
+// creating a session, installing a replica and re-hosting a recovered
+// session differ.
+type hostSpec struct {
+	// pers is a recovered session's existing persister, which must not
+	// be replaced by a fresh generation 0 over the recovered files; nil
+	// makes a durable registry create one.
+	pers *persister
+	// quota is the resolved admission state (see resolveQuota): the
+	// registry defaults, an explicit create-time override, or one read
+	// back from a snapshot header.
+	quota QuotaConfig
+	// role is the replication role; recovery reads it back from the
+	// directory's marker (see Server.Recover).
+	role int32
+	// store is the tuple-storage backend of a freshly created persister;
+	// KindDefault inherits the node's -store configuration. It only
+	// matters on durable registries.
+	store store.Kind
 }
 
-// CreateWithQuota is Create with a per-session quota override layered
-// over the registry defaults (zero fields inherit, negative fields
-// lift the default; see resolveQuota).
-func (r *Registry) CreateWithQuota(name string, sess *increpair.Session, schema *relation.Schema, wq *WireQuota) (*hosted, error) {
-	return r.register(name, sess, schema, nil, resolveQuota(r.quota, wq), rolePrimary, store.KindDefault)
-}
-
-// CreateWithStore is CreateWithQuota plus an explicit tuple-storage
-// backend for the session; KindDefault inherits the node's -store
-// configuration. kind only matters on durable registries — an in-memory
-// registry has no persister to host the page store.
-func (r *Registry) CreateWithStore(name string, sess *increpair.Session, schema *relation.Schema, wq *WireQuota, kind store.Kind) (*hosted, error) {
-	return r.register(name, sess, schema, nil, resolveQuota(r.quota, wq), rolePrimary, kind)
-}
-
-// adopt re-hosts a recovered session with its existing persister —
-// Create's boot-time sibling, which must not write a fresh generation 0
-// over the recovered files. quota is the resolved admission state: an
-// explicit override read back from the snapshot header, or the current
-// registry defaults; role is the replication role read back from the
-// directory's marker (see Server.Recover).
-func (r *Registry) adopt(name string, sess *increpair.Session, schema *relation.Schema, p *persister, quota QuotaConfig, role int32) (*hosted, error) {
-	return r.register(name, sess, schema, p, quota, role, store.KindDefault)
-}
-
-func (r *Registry) register(name string, sess *increpair.Session, schema *relation.Schema, p *persister, quota QuotaConfig, role int32, kind store.Kind) (*hosted, error) {
+// register hosts sess under name and starts its worker and committer.
+// The caller supplies a ready increpair.Session and the schema used for
+// wire encoding and attribute lookup; every path that hosts a session —
+// the create handler, replica install, recovery and tests — comes
+// through here.
+func (r *Registry) register(name string, sess *increpair.Session, schema *relation.Schema, spec hostSpec) (*hosted, error) {
 	sh := r.shard(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -365,12 +358,13 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 	if _, dup := sh.m[name]; dup {
 		return nil, ErrExists
 	}
+	p := spec.pers
 	if p == nil && r.persist != nil {
 		// Creating the durability sidecar under the shard lock keeps a
 		// racing create of the same name from touching the same
 		// directory. Creates are rare; the lock is per-shard.
 		var err error
-		if p, err = newPersister(r.persist, name, sess, walQuota(quota), kind); err != nil {
+		if p, err = newPersister(r.persist, name, sess, walQuota(spec.quota), spec.store); err != nil {
 			return nil, fmt.Errorf("server: persist %s: %w", name, err)
 		}
 	}
@@ -379,7 +373,7 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 		schema:        schema,
 		attrs:         schema.Attrs(),
 		sess:          sess,
-		quota:         newQuotaState(quota),
+		quota:         newQuotaState(spec.quota),
 		ops:           newSessionOps(),
 		pers:          p,
 		queue:         make(chan job, r.queueDepth),
@@ -391,7 +385,7 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 	}
 	h.subs.drops = &r.sseDrops
 	h.subs.sessionDrops = &h.ops.sseDropped
-	h.subs.max = quota.MaxSubscribers
+	h.subs.max = spec.quota.MaxSubscribers
 	if p != nil {
 		// Carry recovery's replay count into the rotation budget so a
 		// crash-looping server still rotates (see recoverSession).
@@ -400,14 +394,14 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 		// session as what it really was (see roleMarkerName). Failing to
 		// record it risks a phantom primary after the next crash, which
 		// is a persistence failure like any other.
-		if err := writeRoleMarker(p.dir, role == roleFollower); err != nil {
+		if err := writeRoleMarker(p.dir, spec.role == roleFollower); err != nil {
 			p.markBroken(err)
 		}
 	}
 	if c := r.cluster; c != nil {
 		h.clustered = true
-		h.role.Store(role)
-		if role == rolePrimary {
+		h.role.Store(spec.role)
+		if spec.role == rolePrimary {
 			if target := c.shipTarget(name); target != "" {
 				h.startShipper(c, target)
 			}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cfdclean/internal/increpair"
-	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
 
@@ -71,7 +70,7 @@ func (r *Registry) InstallReplica(name string, snap *wal.Snapshot) error {
 	if snap.Quota.Set {
 		quota = quotaFromWAL(snap.Quota)
 	}
-	if _, err := r.register(name, sess, sess.Current().Schema(), nil, quota, roleFollower, store.KindDefault); err != nil {
+	if _, err := r.register(name, sess, sess.Current().Schema(), hostSpec{quota: quota, role: roleFollower}); err != nil {
 		sess.Close()
 		return err
 	}

@@ -345,7 +345,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		writeStatus(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	h, err := s.reg.CreateWithStore(cr.Name, sess, rel.Schema(), cr.Quota, kind)
+	h, err := s.reg.register(cr.Name, sess, rel.Schema(), hostSpec{quota: resolveQuota(s.reg.quota, cr.Quota), store: kind})
 	if err != nil {
 		sess.Close()
 		writeError(w, err)
@@ -706,14 +706,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	for _, h := range hs {
 		all = append(all, h.lat.window()...)
 		ops.Queues = append(ops.Queues, QueueGauge{Session: h.name, Depth: len(h.queue), Cap: cap(h.queue)})
-		if ref := h.shipper.Load(); ref != nil {
-			st := ref.sp.Stats()
-			ops.ShipBatches += st.Batches
-			ops.ShipSnapshots += st.Snapshots
-			ops.ShipDegraded += st.Degraded
-			ops.ShipDropped += st.Dropped
-		}
 	}
+	st := shipTotals(hs)
+	ops.ShipBatches, ops.ShipSnapshots, ops.ShipDegraded, ops.ShipDropped = st.Batches, st.Snapshots, st.Degraded, st.Dropped
 	writeJSON(w, http.StatusOK, MetricsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Sessions:      len(hs),

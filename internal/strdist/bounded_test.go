@@ -34,22 +34,3 @@ func TestDamerauLevenshteinBounded(t *testing.T) {
 		t.Errorf("negative bound = %d, want 0", got)
 	}
 }
-
-// The DL metric's DistanceBounded must prune identically, and the
-// generic Func fallback must ignore the bound.
-func TestDistanceBoundedMetric(t *testing.T) {
-	bm, ok := DL.(BoundedMetric)
-	if !ok {
-		t.Fatal("the default DL metric must implement BoundedMetric")
-	}
-	if got := bm.DistanceBounded("kitten", "sitting", 1); got <= 1 {
-		t.Errorf("DL bounded = %d, want > 1", got)
-	}
-	if got := bm.DistanceBounded("kitten", "sitting", 5); got != 3 {
-		t.Errorf("DL bounded = %d, want 3", got)
-	}
-	f := Func(Levenshtein)
-	if got := f.DistanceBounded("kitten", "sitting", 0); got != 3 {
-		t.Errorf("Func fallback = %d, want full distance 3", got)
-	}
-}

@@ -23,8 +23,7 @@ type Func func(a, b string) int
 // Distance calls f(a, b).
 func (f Func) Distance(a, b string) int { return f(a, b) }
 
-// DL is the package-default Damerau–Levenshtein metric. It implements
-// BoundedMetric with a pruned dynamic program.
+// DL is the package-default Damerau–Levenshtein metric.
 var DL Metric = dlMetric{}
 
 // Levenshtein returns the classic edit distance between a and b:
@@ -99,30 +98,9 @@ func DamerauLevenshtein(a, b string) int {
 	return prev[lb]
 }
 
-// BoundedMetric is an optional extension: DistanceBounded may give up as
-// soon as it can prove the distance exceeds max, returning any value
-// greater than max. Index structures that search within a radius (the
-// BK-tree of package cluster) use it to prune the dynamic program, which
-// dominates whole-run profiles otherwise.
-type BoundedMetric interface {
-	Metric
-	// DistanceBounded returns the distance if it is ≤ max, or any value
-	// > max otherwise.
-	DistanceBounded(a, b string, max int) int
-}
-
-// DistanceBounded makes DL a BoundedMetric via DamerauLevenshteinBounded
-// when f is the package default; other Funcs fall back to full distance.
-func (f Func) DistanceBounded(a, b string, max int) int {
-	return f(a, b)
-}
-
 type dlMetric struct{}
 
 func (dlMetric) Distance(a, b string) int { return DamerauLevenshtein(a, b) }
-func (dlMetric) DistanceBounded(a, b string, max int) int {
-	return DamerauLevenshteinBounded(a, b, max)
-}
 
 // DamerauLevenshteinBounded is DamerauLevenshtein with a cutoff: it
 // returns max+1 as soon as the distance provably exceeds max. The length
