@@ -696,19 +696,22 @@ func (s *Server) handleDump(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	hs := s.reg.List()
 	var all []time.Duration
+	ship := shipTotals(hs)
 	ops := &OpsMetrics{
 		PassSeconds:    s.reg.passLat.Snapshot(),
 		FsyncLag:       s.reg.walLag.Snapshot(),
 		FoldBatches:    s.reg.foldSize.Snapshot(),
 		SSEDropped:     s.reg.sseDrops.Load(),
+		ShipBatches:    ship.Batches,
+		ShipSnapshots:  ship.Snapshots,
+		ShipDegraded:   ship.Degraded,
+		ShipDropped:    ship.Dropped,
 		ReplicaApplied: s.reg.replicaApplied.Load(),
 	}
 	for _, h := range hs {
 		all = append(all, h.lat.window()...)
 		ops.Queues = append(ops.Queues, QueueGauge{Session: h.name, Depth: len(h.queue), Cap: cap(h.queue)})
 	}
-	st := shipTotals(hs)
-	ops.ShipBatches, ops.ShipSnapshots, ops.ShipDegraded, ops.ShipDropped = st.Batches, st.Snapshots, st.Degraded, st.Dropped
 	writeJSON(w, http.StatusOK, MetricsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Sessions:      len(hs),
